@@ -27,12 +27,14 @@ import multiprocessing as mp
 import pickle
 import struct
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ServingError
+from repro.serving.journal import pack_bits
 from repro.serving.shm import (
     FRAME_BATCH,
     FRAME_DEGRADE,
@@ -44,10 +46,20 @@ from repro.serving.shm import (
     ShmRing,
 )
 
-__all__ = ["ProcessWorkerPool", "ProcessWorker", "worker_snapshot"]
+__all__ = [
+    "ProcessWorkerPool",
+    "ProcessWorker",
+    "worker_snapshot",
+    "SHARD_MAX_RECORDS",
+]
 
 _POLL_S = 0.0005  # worker/parent idle poll interval
 _FACTOR_FMT = "<d"
+
+#: Invocation records a serving shard keeps.  Serving reads only the
+#: shard's counters and online state, never ``system.records``, so an
+#: unbounded history would only grow with the server's lifetime.
+SHARD_MAX_RECORDS = 16
 
 
 def worker_snapshot(
@@ -77,11 +89,12 @@ def worker_snapshot(
         if record.unchecked_error is not None:
             snap["unchecked_error"] = float(record.unchecked_error)
         if include_bits:
-            bits = np.asarray(
+            snap["decision_bits"], snap["decision_nbits"] = pack_bits(
                 record.detection.recovery_bits
-            ).astype(bool).ravel()
-            snap["decision_bits"] = np.packbits(bits).tobytes()
-            snap["decision_nbits"] = int(bits.shape[0])
+            )
+            # The threshold the bits were decided under; ``threshold``
+            # above is the tuner's, which may have moved since.
+            snap["decision_threshold"] = float(record.detection.threshold)
             choices = getattr(record, "choices", None)
             if choices is not None:
                 # The batch's per-row routing decisions ride with the
@@ -108,7 +121,7 @@ def _worker_main(
     out_ring = ShmRing.attach(out_name)
     try:
         prototype = pickle.loads(system_blob)
-        system = prototype.clone_shard()
+        system = prototype.clone_shard(max_records=SHARD_MAX_RECORDS)
         while True:
             # Zero-copy read: BATCH payloads are consumed as views of ring
             # memory; the frame is advanced (bytes released to the
@@ -169,6 +182,13 @@ def _worker_main(
                     out_ring, FRAME_RESULT, frame.seq, record.outputs, extra,
                     trace_id=frame.trace_id,
                 )
+    except BaseException as exc:
+        # An escaping exception (a delivered signal) carries the frames
+        # of the invocation it interrupted, and through their locals a
+        # zero-copy view of ring memory; drop them so the rings can close.
+        frame = None
+        traceback.clear_frames(exc.__traceback__)
+        raise
     finally:
         in_ring.close()
         out_ring.close()

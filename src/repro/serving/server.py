@@ -1,28 +1,34 @@
 """The quality-managed inference server.
 
-Architecture (one box per thread group)::
+One request path, two engines::
 
     callers ──submit()──► AdmissionQueue (bounded, deadline-flushed)
-                                │ take_batch()
-                      ┌─────────┴──────────┐
-                  worker w0 … worker wN     each owns a RumbaSystem shard
-                  (accelerate + detect)     cloned from one prototype
-                      │ PendingInvocation
-                      ▼ try_push (bounded; full → inline recovery)
-                 shared recovery backlog (FifoQueue)
-                      │
-              recovery worker r0 … rM       (recover + tune + complete)
-                      │
-                 ServeHandle.set_result ──► caller unblocks
+                                │ take_batch()  (one dispatch loop per
+                                ▼                engine dispatcher)
+                      engine.dispatch(batch)
+              ┌─────────────────┴──────────────────┐
+       thread engine                        process engine
+       shard w<i>: accelerate + detect      dispatcher ─► shm ring ─►
+       ─► recovery backlog (bounded;        worker p<i>: accelerate +
+          full → inline recovery)           detect + recover ─► ring
+       ─► recovery thread r<j>: recover     ─► collector thread
+              └─────────────────┬──────────────────┘
+                                ▼ (batch, outputs, worker snapshot)
+                 completion funnel: drift, per-worker gauges, journal,
+                 trace export ──► ServeHandle.set_result ──► caller
 
 The accelerator-side halves and the CPU-side halves of invocations
 overlap exactly as in the paper's Fig. 8 pipeline: a worker begins its
-next batch while recovery workers are still re-executing flagged
-iterations of its previous ones.  The :class:`BackpressureController`
-watches the backlog and trades quality for stability when the recovery
-group falls behind; the bounded admission queue sheds load past that.
+next batch while recovery is still re-executing flagged iterations of
+its previous ones.  Admission, dequeue, completion, journaling, tracing
+and :meth:`RumbaServer.stats` exist once, here; each engine
+(:mod:`repro.serving.engines`) supplies only dispatch, its backlog depth,
+its backpressure targets, its per-worker state, and its teardown.  The
+:class:`BackpressureController` watches that backlog and trades quality
+for stability when recovery falls behind; the bounded admission queue
+sheds load past that.
 
-Everything is observable: each worker shard attaches a per-worker
+Everything is observable: each thread shard attaches a per-worker
 :class:`~repro.observability.Telemetry` (``worker=w<i>`` label) to the
 server's metrics registry, and the server adds service-level series
 (``rumba_serve_*``).  :meth:`RumbaServer.stats` is the health endpoint.
@@ -31,18 +37,17 @@ server's metrics registry, and the server adds service-level series
 from __future__ import annotations
 
 import heapq
-import pickle
+import itertools
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.offline import prepare_system
-from repro.core.runtime import PendingInvocation, RumbaSystem
+from repro.core.runtime import RumbaSystem
 from repro.core.stream import DriftDetector
 from repro.errors import (
     ConfigurationError,
@@ -50,115 +55,37 @@ from repro.errors import (
     ServingError,
     WorkerCrashError,
 )
-from repro.hardware.queues import FifoQueue
-from repro.observability.instrument import Telemetry
+from repro.observability.flightlog import FLIGHT_LOG_VERSION, FlightRecorder
+from repro.observability.framedlog import wire
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
 )
 from repro.observability.reqtrace import (
     STAGE_ADMIT,
-    STAGE_COLLECT,
     STAGE_COMPLETE,
-    STAGE_COMPUTE,
     STAGE_DEQUEUE,
-    STAGE_DETECT,
-    STAGE_DISPATCH,
-    STAGE_RECOVER,
-    STAGE_RECOVERY_WAIT,
     STAGE_RETRY,
-    STAGE_ROUTE,
-    STAGE_SHM_READ,
-    STAGE_SHM_WRITE,
     TracingPolicy,
 )
 from repro.serving.backpressure import BackpressureController
-from repro.serving.batching import AdmissionQueue, concat_inputs, split_outputs
+from repro.serving.batching import AdmissionQueue, split_outputs
 from repro.serving.bufpool import BufferPool
 from repro.serving.config import ServerConfig
+from repro.serving.engines import (
+    Batch,
+    ProcessEngine,
+    ThreadEngine,
+    WorkerShard,
+    stamp_batch,
+    start_thread,
+)
 from repro.serving.faults import ChaosConfig, ChaosMonkey
-from repro.serving.procpool import ProcessWorker, ProcessWorkerPool
+from repro.serving.journal import RequestJournal, unpack_bits
+from repro.serving.procpool import ProcessWorkerPool
 from repro.serving.request import ServeHandle, ServeRequest, ServeResult
-from repro.serving.shm import FRAME_ERROR, FRAME_RESULT
 
 __all__ = ["RumbaServer", "WorkerShard"]
-
-_BACKENDS = ("thread", "process")
-
-
-@dataclass
-class WorkerShard:
-    """One worker's slice of the service: a cloned system + drift watch."""
-
-    name: str
-    system: RumbaSystem
-    drift: DriftDetector = field(default_factory=DriftDetector)
-    drift_flags: int = 0
-    batches: int = 0
-    elements: int = 0
-
-    @property
-    def drifted(self) -> bool:
-        """True once this shard's checker behaviour has left its band."""
-        return self.drift_flags > 0
-
-    def observe_drift(self, fire_fraction: float) -> bool:
-        drifted_now = self.drift.observe(fire_fraction)
-        if drifted_now:
-            self.drift_flags += 1
-        telemetry = self.system.telemetry
-        if telemetry is not None:
-            telemetry.on_drift(drifted_now, self.drifted)
-        return drifted_now
-
-
-@dataclass
-class _RecoveryTask:
-    """One batch whose accelerator half is done, awaiting CPU recovery."""
-
-    shard: WorkerShard
-    requests: List[ServeRequest]
-    pending: PendingInvocation
-    degraded: bool
-    dispatched_at: float
-    #: The batch's traces, precomputed at dequeue (empty = tracing off).
-    traced: List[object] = field(default_factory=list)
-    #: Pooled concat buffer backing ``pending.inputs`` (multi-request
-    #: batches only); recycled once ``complete_invocation`` — its last
-    #: reader — returns.
-    lease: Optional[np.ndarray] = None
-
-
-@dataclass
-class _ProcShardView:
-    """Parent-side bookkeeping for one process worker.
-
-    The worker's system lives in another address space; this view holds
-    what the parent tracks itself (dispatch counts, drift on the reported
-    fire fractions) while the rest arrives in metrics snapshots.
-    """
-
-    name: str
-    drift: DriftDetector
-    drift_flags: int = 0
-    batches: int = 0
-    elements: int = 0
-
-    @property
-    def drifted(self) -> bool:
-        return self.drift_flags > 0
-
-
-@dataclass
-class _ProcPendingBatch:
-    """One batch in flight to a process worker, awaiting its RESULT."""
-
-    requests: List[ServeRequest]
-    worker: ProcessWorker
-    dispatched_at: float
-    degraded: bool
-    #: The batch's traces, precomputed at dequeue (empty = tracing off).
-    traced: List[object] = field(default_factory=list)
 
 
 class RumbaServer:
@@ -265,39 +192,19 @@ class RumbaServer:
         # well-defined points; buffers that escape to callers (ServeResult
         # outputs) never come from it.  See serving/bufpool.py.
         self._bufpool = BufferPool()
-        self._backlog: FifoQueue[_RecoveryTask] = FifoQueue(
-            capacity=config.backpressure.recovery_backlog_capacity,
-            name="serve-recovery-backlog",
-            strict=False,
-        )
-        self._rcond = threading.Condition()
-        high_watermark, low_watermark = (
-            config.backpressure.resolved_watermarks()
-        )
-        self._bp_config = (
-            high_watermark,
-            low_watermark,
-            config.backpressure.degrade_factor,
-            config.backpressure.max_degradation,
-        )
         self._drift_factory = drift_detector_factory
 
         self.backend = config.backend
-        self.ring_capacity_bytes = config.ring_capacity_bytes
-        self.start_method = config.start_method
-        self.pool: Optional[ProcessWorkerPool] = None
-        self._proc_views: Dict[str, _ProcShardView] = {}
-        self._proc_pending: Dict[int, _ProcPendingBatch] = {}
-        self._proc_lock = threading.Lock()
-        self._proc_seq = 0
-        self._proc_stop = False
-
-        self.shards: List[WorkerShard] = []
+        self._engine = (
+            ProcessEngine(self) if self.backend == "process"
+            else ThreadEngine(self)
+        )
+        # Unique batch ids: ring frame seqs and journal batch numbers.
+        # ``next`` on a count is atomic under the GIL.
+        self._batch_ids = itertools.count()
         self.controller: Optional[BackpressureController] = None
         self._threads: List[threading.Thread] = []
         self._state = "new"
-        self._state_lock = threading.Lock()
-        self._recovery_stop = False
         self._flight_cond = threading.Condition()
         self._inflight = 0
         self._next_request_id = 0
@@ -324,11 +231,6 @@ class RumbaServer:
         self.tracing = TracingPolicy.from_config(config.tracing)
         self.flight_recorder = None
         if config.tracing.enabled and config.tracing.flight_log_path:
-            # Imported lazily: flightlog reuses the wire codec, and the
-            # serving.net package imports this module at its own import
-            # time — by construction time the cycle has resolved.
-            from repro.observability.flightlog import FlightRecorder
-
             self.flight_recorder = FlightRecorder(
                 config.tracing.flight_log_path,
                 max_bytes=config.tracing.flight_log_max_bytes,
@@ -342,13 +244,7 @@ class RumbaServer:
         # outputs, decision bits, and status, the raw material for
         # ``python -m repro replay`` (see docs/replay.md).
         self.journal = None
-        self._journal_seq = 0
-        self._journal_lock = threading.Lock()
         if config.journal.enabled:
-            # Same lazy-import story as the flight recorder above: the
-            # journal reuses the wire codec.
-            from repro.serving.journal import RequestJournal
-
             self.journal = RequestJournal(
                 config.journal.path, max_bytes=config.journal.max_bytes
             )
@@ -417,9 +313,8 @@ class RumbaServer:
             "Requests re-dispatched after a worker fault",
             base + ("worker",),
         )
-        # Process backend: worker-internal state arrives via the metrics
-        # snapshot shipped with every RESULT frame and is re-exported here
-        # (the thread backend exports these through per-shard Telemetry).
+        # Worker-internal state, re-exported from the snapshot that comes
+        # with every completed batch (on either backend).
         self._m_worker_threshold = r.gauge(
             "rumba_serve_worker_threshold",
             "Detection threshold last reported by each worker",
@@ -431,9 +326,8 @@ class RumbaServer:
             base + ("worker",),
         )
         # Ensemble routing: cumulative per-member row counts and online
-        # retrain passes, per worker.  Updated from the shard's counters
-        # (thread backend) or the RESULT snapshot (process backend); both
-        # stay silent when the server runs without an ensemble.
+        # retrain passes, per worker, from the same snapshot; silent when
+        # the server runs without an ensemble.
         self._m_ens_routed = r.gauge(
             "rumba_ensemble_routed_rows",
             "Rows routed to each ensemble member, cumulative per worker",
@@ -486,9 +380,8 @@ class RumbaServer:
     def _export_ensemble(self, worker: str, snapshot: Dict[str, object]) -> None:
         """Re-export one worker's ensemble counters into the registry.
 
-        ``snapshot`` is :meth:`ApproximatorEnsemble.snapshot` — either
-        read directly off a thread shard or shipped inside a process
-        worker's RESULT snapshot.
+        ``snapshot`` is :meth:`ApproximatorEnsemble.snapshot`, as carried
+        in a completed batch's worker snapshot.
         """
         members = snapshot.get("members", ())
         routed = snapshot.get("routed", ())
@@ -511,7 +404,7 @@ class RumbaServer:
         child.set(int(snapshot.get("retrains", 0)))
 
     def prepare(self) -> "RumbaServer":
-        """Train (or adopt) the prototype and clone one shard per worker."""
+        """Train (or adopt) the prototype and build the engine's workers."""
         if self._state != "new":
             raise ServingError(f"cannot prepare a {self._state} server")
         if self._prototype is None:
@@ -523,50 +416,7 @@ class RumbaServer:
                 self.app_name, scheme=self.scheme, seed=self.seed,
                 ensemble=ensemble_spec,
             )
-        if self.backend == "process":
-            # Fail at prepare time, not in a worker, if the prototype
-            # cannot cross the process boundary.
-            try:
-                pickle.dumps(self._prototype)
-            except Exception as exc:
-                raise ServingError(
-                    "process backend needs a picklable prototype "
-                    f"(registry applications are): {exc!r}"
-                ) from exc
-            self.pool = ProcessWorkerPool(
-                self._prototype,
-                n_workers=self.n_workers,
-                ring_capacity_bytes=self.ring_capacity_bytes,
-                measure_quality=self.measure_quality,
-                start_method=self.start_method,
-                # Workers ship each batch's packed decision bits with the
-                # RESULT snapshot only when a journal will record them.
-                ship_decision_bits=self.journal is not None,
-            )
-            self._state = "ready"
-            return self
-        for i in range(self.n_workers):
-            name = f"w{i}"
-            telemetry = Telemetry(
-                app=self.app_name,
-                scheme=self.scheme,
-                registry=self.registry,
-                extra_labels={"worker": name},
-            )
-            system = self._prototype.clone_shard(telemetry=telemetry)
-            self.shards.append(
-                WorkerShard(
-                    name=name, system=system, drift=self._drift_factory()
-                )
-            )
-        high, low, factor, max_level = self._bp_config
-        self.controller = BackpressureController(
-            [s.system for s in self.shards],
-            high_watermark=high,
-            low_watermark=low,
-            factor=factor,
-            max_level=max_level,
-        )
+        self._engine.prepare(self._prototype)
         self._state = "ready"
         return self
 
@@ -583,11 +433,21 @@ class RumbaServer:
         return self._prototype
 
     @property
+    def shards(self) -> List[WorkerShard]:
+        """One entry per worker: its dispatch counts and drift watch."""
+        return self._engine.shards
+
+    @property
+    def pool(self) -> Optional[ProcessWorkerPool]:
+        """The process backend's worker pool (None on threads)."""
+        return self._engine.pool
+
+    @property
     def is_running(self) -> bool:
         return self._state == "running"
 
     def start(self) -> "RumbaServer":
-        """Spawn the worker groups (threads, or processes + I/O threads)."""
+        """Start the engine, then one dispatch loop per engine dispatcher."""
         if self._state == "new":
             self.prepare()
         if self._state != "ready":
@@ -595,56 +455,25 @@ class RumbaServer:
         self._state = "running"
         if self.journal is not None:
             self._write_journal_meta()
-        retry_thread = threading.Thread(
-            target=self._retry_loop, name="rumba-serve-retry", daemon=True,
+        self._threads.append(
+            start_thread(self._retry_loop, "rumba-serve-retry")
         )
-        retry_thread.start()
-        self._threads.append(retry_thread)
-        if self.backend == "process":
-            self.pool.start()
-            self._proc_views = {
-                w.name: _ProcShardView(name=w.name, drift=self._drift_factory())
-                for w in self.pool.workers
-            }
-            high, low, factor, max_level = self._bp_config
-            self.controller = BackpressureController(
-                self.pool.backpressure_proxies(),
-                high_watermark=high,
-                low_watermark=low,
-                factor=factor,
-                max_level=max_level,
-            )
-            dispatcher = threading.Thread(
-                target=self._process_dispatch_loop,
-                name="rumba-serve-dispatch", daemon=True,
-            )
-            collector = threading.Thread(
-                target=self._process_collect_loop,
-                name="rumba-serve-collect", daemon=True,
-            )
-            dispatcher.start()
-            collector.start()
-            self._threads.extend([dispatcher, collector])
-            if self.chaos_monkey is not None:
-                self.chaos_monkey.attach_pool(self.pool)
-                self.chaos_monkey.start()
-            return self
+        dispatchers = self._engine.start()
+        bp = self.config.backpressure
+        high_watermark, low_watermark = bp.resolved_watermarks()
+        self.controller = BackpressureController(
+            self._engine.backpressure_targets(),
+            high_watermark=high_watermark,
+            low_watermark=low_watermark,
+            factor=bp.degrade_factor,
+            max_level=bp.max_degradation,
+        )
         if self.chaos_monkey is not None:
             self.chaos_monkey.start()
-        for shard in self.shards:
-            thread = threading.Thread(
-                target=self._worker_loop, args=(shard,),
-                name=f"rumba-serve-{shard.name}", daemon=True,
+        for name, dispatch in dispatchers:
+            self._threads.append(
+                start_thread(self._dispatch_loop, name, dispatch)
             )
-            thread.start()
-            self._threads.append(thread)
-        for i in range(self.n_recovery_workers):
-            thread = threading.Thread(
-                target=self._recovery_loop, name=f"rumba-recover-r{i}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
         return self
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -680,28 +509,25 @@ class RumbaServer:
             self.chaos_monkey.stop()
         self.drain(timeout=timeout)
         self._admission.close()
-        with self._rcond:
-            self._recovery_stop = True
-            self._rcond.notify_all()
         with self._retry_cond:
             self._retry_stop = True
             self._retry_cond.notify_all()
-        self._proc_stop = True
+        # The dispatch loops end once the closed admission queue is empty;
+        # the engine's own threads and workers go after them.
         for thread in self._threads:
             thread.join(timeout=timeout)
-        if self.pool is not None:
-            self.pool.stop(timeout=timeout)
+        self._engine.stop(timeout=timeout)
         # Fail anything that somehow survived the drain (e.g. timeout).
         with self._retry_cond:
             abandoned = [entry[2] for entry in self._retry_heap]
             self._retry_heap.clear()
         for request in abandoned:
             self._finish_request(
-                request, error=ServingError("server stopped"), record=None
+                request, error=ServingError("server stopped")
             )
         for request in self._admission.drain_remaining():
             self._finish_request(
-                request, error=ServingError("server stopped"), record=None
+                request, error=ServingError("server stopped")
             )
         if self.controller is not None:
             self.controller.reset()
@@ -829,51 +655,14 @@ class RumbaServer:
         """Convenience: submit and block for the result."""
         return self.submit(inputs, deadline_s=deadline_s).result(timeout)
 
-    @staticmethod
-    def _stamp_batch(
-        traces: List[object], stage: str, at: Optional[float] = None
-    ) -> None:
-        """Stamp one stage event on each of a batch's traces.
-
-        Callers precompute the batch's trace list once, at dequeue; with
-        tracing disabled that list is empty and every stamp along the
-        batch's path short-circuits here without reading the clock or
-        touching the batch again.
-        """
-        if not traces:
-            return
-        if at is None:
-            at = time.monotonic()
-        for trace in traces:
-            trace.stamp(stage, at=at)
-
-    @staticmethod
-    def _forced_choices(batch: List[ServeRequest]) -> Optional[np.ndarray]:
-        """Concatenate a batch's forced routing choices (None = live).
-
-        Mixed batches are rejected: forcing only some rows of an
-        invocation would interleave recorded decisions with a router
-        whose online state no longer matches the recorded run.  Replay
-        batches one request per invocation, so this never triggers there.
-        """
-        forced = [r.backend_ids for r in batch]
-        if all(ids is None for ids in forced):
-            return None
-        if any(ids is None for ids in forced):
-            raise ConfigurationError(
-                "a batch cannot mix forced and live-routed requests"
-            )
-        if len(forced) == 1:
-            return forced[0]
-        return np.concatenate(forced)
-
     # ------------------------------------------------------------------ #
-    # Worker groups                                                      #
+    # The request path                                                   #
     # ------------------------------------------------------------------ #
-    def _worker_loop(self, shard: WorkerShard) -> None:
+    def _dispatch_loop(self, dispatch) -> None:
+        """Feed admission batches to one engine dispatcher until closed."""
         while True:
-            batch = self._admission.take_batch()
-            if batch is None:
+            requests = self._admission.take_batch()
+            if requests is None:
                 return
             # Stage stamps are only ever read at export, and export is
             # gated on ``sampled`` — so unsampled traces skip the whole
@@ -882,393 +671,72 @@ class RumbaServer:
             # sampled; its waterfall then starts at the promotion point
             # (admit and the error stages are always recorded).
             traced = [
-                r.trace for r in batch
+                r.trace for r in requests
                 if r.trace is not None and r.trace.sampled
             ]
-            self._stamp_batch(traced, STAGE_DEQUEUE)
+            stamp_batch(traced, STAGE_DEQUEUE)
             self._g_admission_depth.set(len(self._admission))
             try:
-                self._dispatch_batch(shard, batch, traced)
+                dispatch(Batch(
+                    seq=next(self._batch_ids), requests=requests,
+                    traced=traced,
+                ))
             except Exception as exc:  # pragma: no cover - defensive
-                self._retry_or_fail(batch, exc, worker=shard.name)
+                self._retry_or_fail(requests, exc)
 
-    def _dispatch_batch(
-        self,
-        shard: WorkerShard,
-        batch: List[ServeRequest],
-        traced: List[object],
-    ) -> None:
-        inputs = concat_inputs(batch, pool=self._bufpool)
-        # Multi-request batches concatenate into a leased buffer the task
-        # owns until recovery finishes; a single-request batch rides its
-        # own staged input block, which the request itself owns.
-        lease = inputs if len(batch) > 1 else None
-        dispatched_at = time.monotonic()
-        self._stamp_batch(traced, STAGE_DISPATCH, at=dispatched_at)
-        try:
-            if self.chaos_monkey is not None:
-                self.chaos_monkey.maybe_fail(where=shard.name)
-            pending = shard.system.begin_invocation(
-                inputs, measure_quality=self.measure_quality,
-                forced_choices=self._forced_choices(batch),
-            )
-        except Exception as exc:
-            if lease is not None:
-                self._bufpool.release(lease)
-            self._retry_or_fail(batch, exc, worker=shard.name)
-            return
-        # ``begin_invocation`` runs the ensemble router (when one is
-        # configured), the approximate kernel, and the error detector
-        # back to back, so the stages land on one instant: the compute
-        # segment carries the combined cost and route/detect are
-        # boundary markers.
-        if traced:
-            computed_at = time.monotonic()
-            if shard.system.ensemble is not None:
-                self._stamp_batch(traced, STAGE_ROUTE, at=computed_at)
-            self._stamp_batch(traced, STAGE_COMPUTE, at=computed_at)
-            self._stamp_batch(traced, STAGE_DETECT, at=computed_at)
+    def _dispatched(self, batch: Batch, n_rows: int) -> None:
+        """Count a batch an engine has handed to ``batch.shard``."""
+        shard = batch.shard
         shard.batches += 1
-        shard.elements += inputs.shape[0]
-        shard.observe_drift(pending.detection.fire_fraction)
+        shard.elements += n_rows
         metrics = self._worker_metrics(shard.name)
         metrics.batches.inc()
-        metrics.batch_requests.inc(len(batch))
-        task = _RecoveryTask(
-            shard=shard,
-            requests=batch,
-            pending=pending,
-            degraded=self.controller.degraded,
-            dispatched_at=dispatched_at,
-            traced=traced,
-            lease=lease,
-        )
-        with self._rcond:
-            queued = self._backlog.try_push(task)
-            if queued:
-                self._rcond.notify()
-            backlog = len(self._backlog)
-        self._g_backlog.set(backlog)
-        self._apply_backpressure(backlog)
-        if not queued:
-            # Hard backstop: the backlog is at capacity, so this worker
-            # absorbs its own recovery synchronously.  That stalls the
-            # producer — which is precisely the backpressure we want.
-            metrics.inline.inc()
-            self._complete_task(task)
+        metrics.batch_requests.inc(len(batch.requests))
 
-    def _recovery_loop(self) -> None:
-        while True:
-            with self._rcond:
-                task = self._backlog.try_pop()
-                while task is None and not self._recovery_stop:
-                    self._rcond.wait(timeout=0.1)
-                    task = self._backlog.try_pop()
-            if task is None:
-                return
-            backlog = len(self._backlog)
-            self._g_backlog.set(backlog)
-            self._complete_task(task)
-            self._apply_backpressure(backlog)
-
-    def _apply_backpressure(self, backlog: int) -> None:
-        if self.controller is None:
-            return
-        if self.controller.update(backlog) != 0:
+    def _backlog_changed(self) -> None:
+        """Publish the engine's backlog depth and let backpressure act."""
+        depth = self._engine.depth()
+        self._g_backlog.set(depth)
+        if self.controller.update(depth) != 0:
             self._m_degradation.labels(**self._labels).set(
                 self.controller.level
             )
 
-    def _complete_task(self, task: _RecoveryTask) -> None:
-        # Popped off the recovery backlog: the gap back to ``detect`` is
-        # the time the batch sat waiting for a recovery worker.
-        self._stamp_batch(task.traced, STAGE_RECOVERY_WAIT)
-        try:
-            record = task.shard.system.complete_invocation(task.pending)
-        except Exception as exc:
-            if task.lease is not None:
-                self._bufpool.release(task.lease)
-                task.lease = None
-            # A retry re-runs the invocation from the top on a healthy
-            # shard; kernels are pure, so re-execution is safe.
-            self._retry_or_fail(task.requests, exc, worker=task.shard.name)
-            return
-        if task.lease is not None:
-            # ``complete_invocation`` was the concat buffer's last reader
-            # (recovery re-executes flagged rows from it) and nothing in
-            # the record aliases it, so the arena can recycle now.
-            self._bufpool.release(task.lease)
-            task.lease = None
-        self._stamp_batch(task.traced, STAGE_RECOVER)
-        ensemble = task.shard.system.ensemble
+    def _complete(
+        self, batch: Batch, outputs: np.ndarray, snapshot: Dict[str, object]
+    ) -> None:
+        """The completion funnel: every finished batch, either engine.
+
+        ``snapshot`` is :func:`~repro.serving.procpool.worker_snapshot` of
+        the worker that ran the batch, taken right after it completed.
+        """
+        shard = batch.shard
+        shard.observe_drift(float(snapshot.get("fire_fraction", 0.0)))
+        metrics = self._worker_metrics(shard.name)
+        metrics.threshold.set(snapshot["threshold"])
+        metrics.invocations.set(snapshot["invocations"])
+        ensemble = snapshot.get("ensemble")
         if ensemble is not None:
-            self._export_ensemble(task.shard.name, ensemble.snapshot())
-        blocks = split_outputs(record.outputs, task.requests)
-        extras = self._thread_journal_extras(task.requests, record)
-        for i, (request, outputs) in enumerate(zip(task.requests, blocks)):
+            self._export_ensemble(shard.name, ensemble)
+        try:
+            blocks = split_outputs(outputs, batch.requests)
+        except Exception as exc:
+            for request in batch.requests:
+                self._finish_request(request, error=exc)
+            return
+        fix_fraction = float(snapshot.get("fix_fraction", 0.0))
+        extras = self._journal_extras(batch, snapshot)
+        degraded = batch.degraded or self.controller.degraded
+        for i, (request, block) in enumerate(zip(batch.requests, blocks)):
             self._finish_request(
                 request,
-                record=record,
-                outputs=outputs,
-                worker=task.shard.name,
-                degraded=task.degraded or self.controller.degraded,
-                dispatched_at=task.dispatched_at,
+                outputs=block,
+                fix_fraction=fix_fraction,
+                worker=shard.name,
+                degraded=degraded,
+                dispatched_at=batch.dispatched_at,
                 journal_extra=extras[i] if extras else None,
             )
-
-    # ------------------------------------------------------------------ #
-    # Process backend loops                                              #
-    # ------------------------------------------------------------------ #
-    def _process_dispatch_loop(self) -> None:
-        """Parent-side producer: admission batches -> worker input rings."""
-        while True:
-            batch = self._admission.take_batch()
-            if batch is None:
-                return
-            # Stage stamps are only ever read at export, and export is
-            # gated on ``sampled`` — so unsampled traces skip the whole
-            # stamping pipeline (at the default 1/64 sampling that is
-            # nearly every request).  An error later promotes a trace to
-            # sampled; its waterfall then starts at the promotion point
-            # (admit and the error stages are always recorded).
-            traced = [
-                r.trace for r in batch
-                if r.trace is not None and r.trace.sampled
-            ]
-            self._stamp_batch(traced, STAGE_DEQUEUE)
-            self._g_admission_depth.set(len(self._admission))
-            try:
-                self._dispatch_batch_process(batch, traced)
-            except Exception as exc:  # pragma: no cover - defensive
-                self._retry_or_fail(batch, exc)
-
-    def _proc_backlog(self) -> int:
-        """Batches in flight to workers — the process backend's analogue
-        of the thread backend's recovery backlog, and what the
-        backpressure watermarks are applied to."""
-        return sum(w.outstanding for w in self.pool.workers)
-
-    def _dispatch_batch_process(
-        self, batch: List[ServeRequest], traced: List[object]
-    ) -> None:
-        # No concat buffer: each request's staged rows are written
-        # directly into the worker's ring (one frame, block by block).
-        blocks = [np.atleast_2d(r.inputs) for r in batch]
-        n_rows = sum(b.shape[0] for b in blocks)
-        dispatched_at = time.monotonic()
-        self._stamp_batch(traced, STAGE_DISPATCH, at=dispatched_at)
-        if self.chaos_monkey is not None:
-            try:
-                self.chaos_monkey.maybe_fail(where="dispatch")
-            except Exception as exc:
-                self._retry_or_fail(batch, exc)
-                return
-        with self._proc_lock:
-            alive = [w for w in self.pool.workers if w.alive()]
-            if alive:
-                worker = min(alive, key=lambda w: (w.outstanding, w.name))
-                seq = self._proc_seq
-                self._proc_seq += 1
-                self._proc_pending[seq] = _ProcPendingBatch(
-                    requests=batch,
-                    worker=worker,
-                    dispatched_at=dispatched_at,
-                    degraded=self.controller.degraded,
-                    traced=traced,
-                )
-                worker.outstanding += 1
-        if not alive:
-            # Retryable: the supervisor may restart a worker before the
-            # deadline budget runs out; exhaustion fails fast.
-            self._retry_or_fail(
-                batch, WorkerCrashError("no live serving worker processes")
-            )
-            return
-        # The batch shares one ring frame, so the frame header carries
-        # the first traced request's id (0 when none is traced).  Forced
-        # routing choices (replay) ride as the frame's extra bytes.
-        batch_trace_id = traced[0].trace_id if traced else 0
-        try:
-            forced = self._forced_choices(batch)
-            self.pool.submit_rows(
-                worker, seq, blocks, trace_id=batch_trace_id,
-                extra=forced.tobytes() if forced is not None else b"",
-            )
-        except Exception as exc:
-            with self._proc_lock:
-                owned = self._proc_pending.pop(seq, None) is not None
-                if owned:
-                    worker.outstanding -= 1
-            if not owned:
-                # The collector reaped this worker concurrently and now
-                # owns (has already retried or failed) the batch.
-                return
-            if not worker.alive():
-                exc = WorkerCrashError(
-                    f"worker {worker.name} died while batch {seq} "
-                    f"was being delivered: {exc}"
-                )
-            self._retry_or_fail(batch, exc, worker=worker.name)
-            return
-        self._stamp_batch(traced, STAGE_SHM_WRITE)
-        view = self._proc_views[worker.name]
-        view.batches += 1
-        view.elements += n_rows
-        metrics = self._worker_metrics(worker.name)
-        metrics.batches.inc()
-        metrics.batch_requests.inc(len(batch))
-        backlog = self._proc_backlog()
-        self._g_backlog.set(backlog)
-        self._apply_backpressure(backlog)
-
-    def _process_collect_loop(self) -> None:
-        """Parent-side consumer: worker output rings -> caller handles."""
-        while True:
-            progressed = False
-            for worker in self.pool.workers:
-                for frame in self.pool.poll(worker):
-                    progressed = True
-                    self._handle_worker_frame(worker, frame)
-                if not worker.process.is_alive() and not worker.dead:
-                    # Harvest anything it managed to publish before dying
-                    # (death is final, so every pre-death write is visible
-                    # by now), then supervise: restart the worker and
-                    # re-dispatch what it took down with it.
-                    for frame in self.pool.poll(worker):
-                        self._handle_worker_frame(worker, frame)
-                    self._reap_worker(worker)
-                    progressed = True
-            with self._proc_lock:
-                n_pending = len(self._proc_pending)
-            if self._proc_stop and n_pending == 0:
-                return
-            if not progressed:
-                time.sleep(0.0005)
-
-    def _handle_worker_frame(self, worker: ProcessWorker, frame) -> None:
-        with self._proc_lock:
-            pending = self._proc_pending.pop(frame.seq, None)
-            if pending is not None:
-                worker.outstanding -= 1
-            backlog = self._proc_backlog()
-        if pending is None:  # already failed (e.g. crash race)
-            return
-        if frame.kind == FRAME_RESULT:
-            snapshot = pickle.loads(frame.extra)
-            worker.snapshot = snapshot
-            # The worker stamped its side of the shm hop with the shared
-            # system monotonic clock; ``clamp`` guards against the small
-            # cross-process skew that would otherwise break stage order.
-            if pending.traced:
-                collected_at = time.monotonic()
-                shm_read_at = snapshot.get("shm_read_at")
-                compute_done_at = snapshot.get("compute_done_at")
-                for trace in pending.traced:
-                    if shm_read_at is not None:
-                        trace.stamp(
-                            STAGE_SHM_READ, at=float(shm_read_at), clamp=True
-                        )
-                    if compute_done_at is not None:
-                        trace.stamp(
-                            STAGE_COMPUTE,
-                            at=float(compute_done_at),
-                            clamp=True,
-                        )
-                    trace.stamp(STAGE_COLLECT, at=collected_at, clamp=True)
-            view = self._proc_views[worker.name]
-            if view.drift.observe(snapshot.get("fire_fraction", 0.0)):
-                view.drift_flags += 1
-            metrics = self._worker_metrics(worker.name)
-            metrics.threshold.set(snapshot.get("threshold", 0.0))
-            metrics.invocations.set(snapshot.get("invocations", 0))
-            ens_snapshot = snapshot.get("ensemble")
-            if ens_snapshot is not None:
-                self._export_ensemble(worker.name, ens_snapshot)
-            try:
-                blocks = split_outputs(frame.payload, pending.requests)
-            except Exception as exc:
-                for request in pending.requests:
-                    self._finish_request(request, error=exc, record=None)
-            else:
-                record = SimpleNamespace(
-                    fix_fraction=snapshot.get("fix_fraction", 0.0)
-                )
-                extras = self._proc_journal_extras(
-                    pending.requests, frame.seq, snapshot
-                )
-                for i, (request, outputs) in enumerate(
-                    zip(pending.requests, blocks)
-                ):
-                    self._finish_request(
-                        request,
-                        record=record,
-                        outputs=outputs,
-                        worker=worker.name,
-                        degraded=pending.degraded or self.controller.degraded,
-                        dispatched_at=pending.dispatched_at,
-                        journal_extra=extras[i] if extras else None,
-                    )
-        elif frame.kind == FRAME_ERROR:
-            error = ProcessWorkerPool.decode_error(frame)
-            for request in pending.requests:
-                self._finish_request(request, error=error, record=None)
-        self._g_backlog.set(backlog)
-        self._apply_backpressure(backlog)
-
-    def _reap_worker(self, worker: ProcessWorker) -> None:
-        """Supervise a dead worker: restart it, re-dispatch its batches.
-
-        The paper's recovery unit re-executes iterations the checker
-        flagged; the supervisor applies the same move one level up — a
-        worker death flags every batch it held, and each is re-executed
-        on a healthy worker within its request's deadline budget.
-        """
-        error = WorkerCrashError(
-            f"serving worker {worker.name} "
-            f"(pid {worker.process.pid}, exit {worker.process.exitcode}) "
-            "died with batches in flight"
-        )
-        with self._proc_lock:
-            worker.dead = True
-            seqs = [
-                seq for seq, p in self._proc_pending.items()
-                if p.worker is worker
-            ]
-            doomed = [self._proc_pending.pop(seq) for seq in seqs]
-            worker.outstanding = 0
-        if self._should_restart():
-            # Restart from the startup prototype blob, then re-apply the
-            # worker's last reported degradation level so a mid-overload
-            # restart does not silently jump back to nominal quality.
-            level = int(worker.snapshot.get(
-                "degradation_level",
-                self.controller.level if self.controller is not None else 0,
-            ))
-            try:
-                restarted = self.pool.restart_worker(
-                    worker,
-                    degradation_level=level,
-                    degrade_factor=self._bp_config[2],
-                )
-            except Exception:  # pragma: no cover - spawn failed mid-teardown
-                restarted = False
-            if restarted:
-                self._m_worker_restarts.labels(
-                    worker=worker.name, **self._labels
-                ).inc()
-        for pending in doomed:
-            self._retry_or_fail(pending.requests, error, worker=worker.name)
-
-    def _should_restart(self) -> bool:
-        return (
-            self.restart_workers
-            and not self._proc_stop
-            and self._state in ("running", "draining")
-            and (
-                self.max_worker_restarts is None
-                or self.pool.total_restarts < self.max_worker_restarts
-            )
-        )
 
     # ------------------------------------------------------------------ #
     # Deadline-budgeted retries                                          #
@@ -1329,7 +797,7 @@ class RumbaServer:
                         "exhausted after "
                         f"{request.attempts + 1} attempt(s): {error}"
                     )
-            self._finish_request(request, error=final, record=None)
+            self._finish_request(request, error=final)
 
     def _retry_loop(self) -> None:
         """Re-offer backed-off requests to the admission queue when due."""
@@ -1360,7 +828,6 @@ class RumbaServer:
                         f"request {request.request_id} could not be "
                         f"re-queued after attempt {request.attempts}: {exc}"
                     ),
-                    record=None,
                 )
 
     # ------------------------------------------------------------------ #
@@ -1395,26 +862,37 @@ class RumbaServer:
             "config": flat,
         })
 
-    @staticmethod
-    def _journal_layout(requests, seq, bits, threshold, measured_error,
-                        choices=None):
+    def _journal_extras(self, batch: Batch, snapshot: Dict[str, object]):
         """Per-request journal coordinates for one completed batch.
 
-        Each request gets the batch's sequence number, its row slice of
-        the batch (offset + total rows — what replay needs to rebuild the
-        exact batch composition), its slice of the batch's per-row
-        decision bits, and — on ensemble runs — its slice of the routed
-        member choices (``backend_ids``), which replay forces back
-        through the ensemble so online router learning cannot diverge
-        the re-run.
+        None when no journal is attached.  Each request gets the batch's
+        sequence number, its row slice of the batch (offset + total rows
+        — what replay needs to rebuild the exact batch composition), its
+        slice of the batch's per-row decision bits, and — on ensemble
+        runs — its slice of the routed member choices (``backend_ids``),
+        which replay forces back through the ensemble so online router
+        learning cannot diverge the re-run.  Bits and choices ride in the
+        worker snapshot (``include_bits``) whenever a journal is on.
         """
-        total = sum(r.n_elements for r in requests)
+        if self.journal is None:
+            return None
+        bits = unpack_bits(
+            snapshot.get("decision_bits", b""),
+            int(snapshot.get("decision_nbits", 0)),
+        )
+        choices = None
+        raw_ids = snapshot.get("backend_ids")
+        if raw_ids is not None:
+            choices = np.frombuffer(raw_ids, dtype=np.int8)
+        threshold = snapshot.get("decision_threshold")
+        measured = snapshot.get("measured_error")
+        total = sum(r.n_elements for r in batch.requests)
         extras = []
         offset = 0
-        for request in requests:
+        for request in batch.requests:
             n_rows = request.n_elements
             extras.append({
-                "batch": seq,
+                "batch": batch.seq,
                 "row_offset": offset,
                 "batch_rows": total,
                 "bits": (
@@ -1425,72 +903,21 @@ class RumbaServer:
                     [int(c) for c in choices[offset: offset + n_rows]]
                     if choices is not None else None
                 ),
-                "threshold": threshold,
-                "measured_error": measured_error,
+                "threshold": (
+                    float(threshold) if threshold is not None else None
+                ),
+                "measured_error": (
+                    float(measured) if measured is not None else None
+                ),
             })
             offset += n_rows
         return extras
-
-    def _next_journal_seq(self) -> int:
-        with self._journal_lock:
-            seq = self._journal_seq
-            self._journal_seq += 1
-            return seq
-
-    def _thread_journal_extras(self, requests, record):
-        """Journal coordinates for a thread-backend batch (None = off)."""
-        if self.journal is None:
-            return None
-        detection = getattr(record, "detection", None)
-        bits = None
-        threshold = None
-        if detection is not None:
-            bits = np.asarray(detection.recovery_bits).astype(bool).ravel()
-            threshold = float(detection.threshold)
-        measured = getattr(record, "measured_error", None)
-        return self._journal_layout(
-            requests,
-            self._next_journal_seq(),
-            bits,
-            threshold,
-            float(measured) if measured is not None else None,
-            choices=getattr(record, "choices", None),
-        )
-
-    def _proc_journal_extras(self, requests, seq, snapshot):
-        """Journal coordinates for a process-backend batch (None = off).
-
-        The worker shipped the batch's packed decision bits inside the
-        RESULT snapshot (``ship_decision_bits``); the ring frame's ``seq``
-        is already a unique batch identifier.
-        """
-        if self.journal is None:
-            return None
-        bits = None
-        n_bits = snapshot.get("decision_nbits")
-        if n_bits:
-            raw = np.frombuffer(snapshot["decision_bits"], dtype=np.uint8)
-            bits = np.unpackbits(raw, count=int(n_bits)).astype(bool)
-        choices = None
-        raw_ids = snapshot.get("backend_ids")
-        if raw_ids is not None:
-            choices = np.frombuffer(raw_ids, dtype=np.int8)
-        threshold = snapshot.get("threshold")
-        measured = snapshot.get("measured_error")
-        return self._journal_layout(
-            requests,
-            seq,
-            bits,
-            float(threshold) if threshold is not None else None,
-            float(measured) if measured is not None else None,
-            choices=choices,
-        )
 
     def _journal_request(
         self,
         request: ServeRequest,
         *,
-        record,
+        fix_fraction: float,
         outputs: Optional[np.ndarray],
         worker: str,
         degraded: bool,
@@ -1537,12 +964,10 @@ class RumbaServer:
                 header["backend_ids"] = extra["backend_ids"]
             bits = extra["bits"]
         if error is not None:
-            from repro.serving.net import protocol as wire
-
-            header["error"] = wire.exception_to_code(error)
+            header["error"] = wire().exception_to_code(error)
             header["error_message"] = str(error)
-        elif record is not None:
-            header["fix_fraction"] = float(record.fix_fraction)
+        else:
+            header["fix_fraction"] = float(fix_fraction)
         try:
             self.journal.record_request(
                 header,
@@ -1556,8 +981,8 @@ class RumbaServer:
     def _finish_request(
         self,
         request: ServeRequest,
-        record,
         outputs: Optional[np.ndarray] = None,
+        fix_fraction: float = 0.0,
         worker: str = "",
         degraded: bool = False,
         dispatched_at: Optional[float] = None,
@@ -1569,7 +994,7 @@ class RumbaServer:
         if self.journal is not None:
             self._journal_request(
                 request,
-                record=record,
+                fix_fraction=fix_fraction,
                 outputs=outputs,
                 worker=worker,
                 degraded=degraded,
@@ -1609,10 +1034,7 @@ class RumbaServer:
                     queue_wait=queue_wait,
                     worker=worker,
                     degraded=degraded,
-                    fix_fraction=(
-                        record.fix_fraction
-                        if record is not None and error is None else 0.0
-                    ),
+                    fix_fraction=fix_fraction if error is None else 0.0,
                     error=error,
                 )
         if error is not None:
@@ -1628,7 +1050,7 @@ class RumbaServer:
                     worker=worker,
                     queue_wait_s=queue_wait,
                     latency_s=latency,
-                    fix_fraction=record.fix_fraction,
+                    fix_fraction=fix_fraction,
                     degraded=degraded,
                     trace_id=trace.trace_id if trace is not None else 0,
                 )
@@ -1661,11 +1083,6 @@ class RumbaServer:
         """Export one sampled trace: stage histograms, flight record,
         and the slow-request exemplar list.  Tracing must never fail a
         request, so recorder I/O errors are swallowed."""
-        # Imported lazily to keep serving importable without dragging in
-        # the wire codec at module-import time (see __init__).
-        from repro.observability.flightlog import FLIGHT_LOG_VERSION
-        from repro.serving.net import protocol as wire
-
         for stage, duration in trace.segments():
             self._m_stage.labels(stage=stage, **self._labels).observe(
                 duration
@@ -1686,7 +1103,7 @@ class RumbaServer:
             "fix_fraction": float(fix_fraction),
             "degraded": bool(degraded),
             "error": (
-                wire.exception_to_code(error) if error is not None else None
+                wire().exception_to_code(error) if error is not None else None
             ),
             "error_message": str(error) if error is not None else None,
             "stages": [[stage, at - t0] for stage, at in events],
@@ -1725,51 +1142,26 @@ class RumbaServer:
         metrics registry; this is the structured point-in-time view a
         load balancer or operator would poll.
         """
+        base_threshold = (
+            float(self._prototype.tuner.threshold)
+            if self._prototype is not None else 0.0
+        )
         per_worker = []
         for shard in self.shards:
+            snap, restarts, alive = self._engine.worker_state(shard)
             per_worker.append({
                 "worker": shard.name,
                 "batches": shard.batches,
                 "elements": shard.elements,
-                "invocations": shard.system.total_invocations,
-                "threshold": float(shard.system.tuner.threshold),
-                "degradation_level": shard.system.tuner.degradation_level,
+                "invocations": int(snap.get("invocations", 0)),
+                "threshold": float(snap.get("threshold", base_threshold)),
+                "degradation_level": int(snap.get("degradation_level", 0)),
                 "drifted": shard.drifted,
                 "drift_flags": shard.drift_flags,
-                # Shape parity with process workers: thread shards live
-                # and die with the server, so they never restart.
-                "restarts": 0,
-                "alive": True,
-                "ensemble": (
-                    shard.system.ensemble.snapshot()
-                    if shard.system.ensemble is not None else None
-                ),
+                "restarts": restarts,
+                "alive": alive,
+                "ensemble": snap.get("ensemble"),
             })
-        if self.backend == "process" and self.pool is not None:
-            base_threshold = (
-                float(self._prototype.tuner.threshold)
-                if self._prototype is not None else 0.0
-            )
-            for worker in self.pool.workers:
-                view = self._proc_views.get(worker.name)
-                snap = worker.snapshot
-                per_worker.append({
-                    "worker": worker.name,
-                    "batches": view.batches if view else 0,
-                    "elements": view.elements if view else 0,
-                    "invocations": int(snap.get("invocations", 0)),
-                    "threshold": float(
-                        snap.get("threshold", base_threshold)
-                    ),
-                    "degradation_level": int(
-                        snap.get("degradation_level", 0)
-                    ),
-                    "drifted": view.drifted if view else False,
-                    "drift_flags": view.drift_flags if view else 0,
-                    "restarts": worker.restarts,
-                    "alive": worker.alive(),
-                    "ensemble": snap.get("ensemble"),
-                })
         degradation = 0 if self.controller is None else self.controller.level
         worker_restarts = (
             self.pool.total_restarts if self.pool is not None else 0
@@ -1813,8 +1205,10 @@ class RumbaServer:
             "admission_capacity": self._admission.capacity,
             "requests_offered": self._admission.offered,
             "requests_shed": self._admission.shed,
-            "recovery_backlog": len(self._backlog),
-            "recovery_backlog_capacity": self._backlog.capacity,
+            "recovery_backlog": self._engine.depth(),
+            "recovery_backlog_capacity": (
+                self.config.backpressure.recovery_backlog_capacity
+            ),
             "degradation_level": degradation,
             "degraded": degradation > 0,
             "drifted": any(entry["drifted"] for entry in per_worker),

@@ -9,6 +9,7 @@ because the client cannot know whether the server executed them.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -33,6 +34,23 @@ def _make_node(prototype, port: int = 0, node_id=None) -> NetServer:
         ),
     )
     return NetServer(server, "127.0.0.1", port, node_id=node_id).start()
+
+
+class _GatedBackend:
+    """The real accelerator, but every forward waits for ``gate``."""
+
+    def __init__(self, inner, gate: threading.Event):
+        self._inner = inner
+        self._gate = gate
+        self.entered = threading.Event()
+
+    def __call__(self, inputs):
+        self.entered.set()
+        self._gate.wait(timeout=30.0)
+        return self._inner(inputs)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 class TestNodeIdentity:
@@ -84,14 +102,31 @@ class TestAutoReconnect:
     def test_inflight_requests_fail_fast_and_typed(
         self, fft_prototype, fft_input_pool
     ):
-        node = _make_node(fft_prototype)
+        # The kernel holds every batch until the node is down, so all four
+        # requests are truly in flight when their connection drops.  The
+        # node fronts a server it does not own, so stopping the node does
+        # not drain the held batches first.
+        gate = threading.Event()
+        prototype = fft_prototype.clone_shard()
+        prototype.backend = backend = _GatedBackend(prototype.backend, gate)
+        server = RumbaServer(
+            prototype=prototype,
+            config=ServerConfig(
+                n_workers=1,
+                batching=BatchingConfig(max_batch_requests=4,
+                                        flush_interval_s=0.002),
+            ),
+        ).start()
+        node = NetServer(server, "127.0.0.1", 0).start()
         client = RumbaClient(*node.address)
         try:
             handles = [
                 client.submit(fft_input_pool[:8], deadline_s=30.0)
                 for _ in range(4)
             ]
+            assert backend.entered.wait(timeout=30.0)
             node.stop()
+            gate.set()
             started = time.monotonic()
             failures = 0
             for handle in handles:
@@ -106,7 +141,10 @@ class TestAutoReconnect:
             assert issubclass(ConnectionLostError, WorkerCrashError)
             assert time.monotonic() - started < 10.0
         finally:
+            gate.set()
             client.close()
+            node.stop()
+            server.stop()
 
     def test_submit_after_reconnect_works(
         self, fft_prototype, fft_input_pool

@@ -134,6 +134,38 @@ class TestRequestJournal:
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
 
+    def test_on_disk_bytes_are_plain_wire_frames(self, tmp_path):
+        # Pins the file format: each generation is the META frame, then
+        # FT_JOURNAL frames, cut where the next frame would pass max_bytes.
+        from repro.serving.net import protocol as wire
+
+        path = str(tmp_path / "journal.bin")
+        journal = RequestJournal(path, max_bytes=4096)
+        journal.write_meta({"app": "fft"})
+        self._fill(journal, 20)
+        journal.close()
+        head = wire.encode_frame(wire.FT_JOURNAL, 0, pack_record(
+            KIND_META, {"app": "fft", "journal_version": JOURNAL_VERSION}
+        ))
+        generations = [[head]]
+        for i in range(20):
+            inputs = np.full((4, 3), float(i))
+            frame = wire.encode_frame(wire.FT_JOURNAL, i, pack_record(
+                KIND_REQUEST,
+                {"request_id": i, "status": "ok", "batch": i,
+                 "row_offset": 0, "batch_rows": 4},
+                inputs=inputs, outputs=inputs + 1.0,
+                bits=np.zeros(4, dtype=bool),
+            ))
+            if sum(map(len, generations[-1])) + len(frame) > 4096:
+                generations.append([head])
+            generations[-1].append(frame)
+        assert len(generations) == 2
+        with open(path + ".1", "rb") as fh:
+            assert fh.read() == b"".join(generations[0])
+        with open(path, "rb") as fh:
+            assert fh.read() == b"".join(generations[1])
+
     def test_torn_tail_keeps_intact_prefix(self, tmp_path):
         path = str(tmp_path / "journal.bin")
         with RequestJournal(path) as journal:

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.serving import ProcessWorkerPool, RumbaServer
+from repro.observability import MetricsRegistry
+from repro.serving import (
+    BatchingConfig,
+    ProcessWorkerPool,
+    RumbaServer,
+    ServerConfig,
+)
 from repro.serving.procpool import _worker_main
 from repro.serving.shm import FRAME_BATCH, FRAME_ERROR, FRAME_RESULT, ShmRing
 
@@ -93,7 +99,7 @@ class TestProcessWorkerPool:
 class _InterruptingSystem:
     """Picklable stand-in whose invocation raises like a delivered signal."""
 
-    def clone_shard(self):
+    def clone_shard(self, **_kwargs):
         return self
 
     def run_invocation(self, *_args, **_kwargs):
@@ -155,6 +161,49 @@ class TestProcessServerLifecycle:
         stats = server.stats()
         assert stats["backend"] == "process"
         assert sum(w["invocations"] for w in stats["workers"]) == 6
+
+    def test_stats_backlog_matches_gauge(self, fft_prototype,
+                                         fft_input_pool):
+        # stats() and the rumba_serve_recovery_backlog gauge read one
+        # backlog: the batches in flight to worker processes.  Results are
+        # held on the out rings (the collector sees no frames) so the
+        # backlog stays put while both are read.
+        registry = MetricsRegistry()
+        server = RumbaServer(
+            prototype=fft_prototype.clone_shard(),
+            registry=registry,
+            config=ServerConfig(
+                backend="process",
+                n_workers=2,
+                batching=BatchingConfig(
+                    max_batch_requests=1, flush_interval_s=0.0
+                ),
+            ),
+        )
+        server.start()
+        held = threading.Event()
+        held.set()
+        poll = server.pool.poll
+        server.pool.poll = lambda w: [] if held.is_set() else poll(w)
+        try:
+            handles = [
+                server.submit(fft_input_pool[i * 16:(i + 1) * 16])
+                for i in range(4)
+            ]
+            gauge = registry.get("rumba_serve_recovery_backlog").labels(
+                app="fft", scheme="treeErrors"
+            )
+            deadline = time.monotonic() + 30.0
+            while gauge.value < 4 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert gauge.value == 4
+            assert server.stats()["recovery_backlog"] == gauge.value
+            held.clear()
+            for handle in handles:
+                handle.result(timeout=60)
+        finally:
+            held.clear()
+            server.stop()
 
     def test_worker_crash_surfaces_error_not_hang(self, fft_prototype,
                                                   fft_input_pool):

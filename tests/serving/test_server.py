@@ -121,6 +121,22 @@ class TestLifecycle:
                 server.submit(np.empty((0, 1)))
 
 
+class TestShardHistory:
+    def test_shard_records_stay_bounded(self, fft_prototype,
+                                        fft_input_pool):
+        # Serving reads only a shard's counters and online state, so its
+        # invocation history must not grow with the server's lifetime.
+        server = _server(fft_prototype, n_workers=1, max_batch_requests=1)
+        with server:
+            for i in range(300):
+                block = fft_input_pool[(i % 40) * 8:(i % 40 + 1) * 8]
+                server.submit_wait(block, timeout=30.0)
+        system = server.shards[0].system
+        assert system.total_invocations == 300
+        assert system.max_records is not None
+        assert len(system.records) == system.max_records < 300
+
+
 class TestBackpressure:
     def test_bounded_queues_and_degradation(self, fft_prototype, fft_input_pool):
         """Overload must produce shedding + threshold degradation, never
@@ -169,7 +185,7 @@ class TestBackpressure:
         assert stats["requests_shed"] == shed
         # The recovery backlog never outgrew its bound (inline fallback
         # absorbs the overflow).
-        assert server._backlog.stats.max_occupancy <= 3
+        assert server._engine.backlog.stats.max_occupancy <= 3
         # Backpressure raised the detection threshold at least once.
         assert server.controller.degrade_events > 0
         peak_threshold = max(
